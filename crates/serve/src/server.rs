@@ -47,25 +47,27 @@
 //!
 //! # Atomic live-weight swaps
 //!
-//! Live weights are double-buffered. A mutable *staging* `(weights,
-//! Cch)` master lives behind its own mutex and is the only copy ever
-//! mutated: [`RouteServer::update_live_weights`] re-customizes it in
-//! place (recycled buffers, no fresh skeleton), and
+//! Live weights are double-buffered. A mutable *staging* `Cch` master,
+//! which owns the live weight vector it was customized for, lives behind
+//! its own mutex and is the only copy ever mutated:
+//! [`RouteServer::update_live_weights`] re-customizes it in place
+//! (recycled buffers, no fresh skeleton), and
 //! [`RouteServer::update_live_weights_sparse`] patches just the entries
 //! a telemetry delta names and re-relaxes only the triangles those
 //! edges touch (`Cch::apply_weight_delta` — bit-identical to the full
 //! pass, microseconds instead of milliseconds for percent-level
 //! deltas). Both happen *off* the serving path; publishing then clones
-//! an immutable snapshot, stamps the next generation and swaps the
-//! `(weights, Cch)` pair into the served slot under a mutex — the
-//! served copy itself is never written. Workers snapshot the pair once
-//! per batch, so every request in a batch — and every individual
-//! query, which folds costs over that snapshot's unpacked edges —
-//! observes exactly one generation, never a mix. Holding the staging
-//! lock across stamp-and-publish keeps generations observed through
-//! the served slot monotone even when sparse and full updates race.
-//! The engine's own `usable_for` bitwise-equality and weights-epoch
-//! gates stay on underneath as defence in depth.
+//! an immutable snapshot, stamps the next generation and swaps it into
+//! the served slot under a mutex — the served copy itself is never
+//! written. Workers snapshot it once per batch, so every request in a
+//! batch — and every individual query, which folds costs over that
+//! snapshot's own vector along its unpacked edges — observes exactly one
+//! generation, never a mix. Holding the staging lock across
+//! stamp-and-publish keeps generations observed through the served slot
+//! monotone even when sparse and full updates race. The engine's own
+//! `usable_for` and weights-epoch gates stay on underneath as defence in
+//! depth; because queries fold over the snapshot's own vector,
+//! `usable_for` passes on pointer identity instead of a bitwise scan.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -219,16 +221,14 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// One immutable live-weight generation: the vector and the CCH
-/// customized for it, always swapped as a pair.
+/// One immutable live-weight generation: the CCH customized for the
+/// live vector, which it owns ([`Cch::custom_weights`] is what queries
+/// fold with [`CostModel::Custom`]), stamped with its generation.
 #[derive(Debug)]
 pub struct LiveWeights {
     /// Monotone generation counter (first install is 1).
     pub generation: u64,
-    /// Per-edge weights, indexed by `EdgeId` — what queries fold with
-    /// [`CostModel::Custom`].
-    pub weights: Vec<f64>,
-    /// The CCH customized for exactly `weights` (bitwise).
+    /// The CCH customized for this generation's weight vector.
     pub cch: Arc<Cch>,
 }
 
@@ -261,23 +261,17 @@ pub struct ServeStats {
     pub no_backend: u64,
 }
 
-/// The mutable master half of the live-weight double buffer. Updates —
-/// full and sparse alike — mutate this pair in place under its mutex,
-/// then publish an immutable cloned snapshot into [`LiveState::current`].
-/// The served snapshot is never written, so queries can keep reading it
-/// lock-free for the whole batch while the next generation customizes.
-#[derive(Default)]
-struct LiveStaging {
-    /// The current live weight vector (empty before the first install).
-    weights: Vec<f64>,
-    /// The CCH customized for exactly `weights`, recycled across
-    /// updates ([`Cch::recustomize_weights`] / [`Cch::apply_weight_delta`])
-    /// so steady-state customization allocates nothing.
-    cch: Option<Cch>,
-}
-
 struct LiveState {
-    staging: Mutex<LiveStaging>,
+    /// The mutable master half of the live-weight double buffer: the CCH
+    /// customized for the current live vector (`None` before the first
+    /// install), recycled across updates ([`Cch::recustomize_weights`] /
+    /// [`Cch::apply_weight_delta`]) so steady-state customization
+    /// allocates nothing. Updates — full and sparse alike — mutate it in
+    /// place under this mutex, then publish an immutable cloned snapshot
+    /// into `current`. The served snapshot is never written, so queries
+    /// keep reading it lock-free for the whole batch while the next
+    /// generation customizes.
+    staging: Mutex<Option<Cch>>,
     current: Mutex<Option<Arc<LiveWeights>>>,
     generation: AtomicU64,
 }
@@ -337,7 +331,7 @@ impl RouteServer {
             cfg.shards
         };
         let live = Arc::new(LiveState {
-            staging: Mutex::new(LiveStaging::default()),
+            staging: Mutex::new(None),
             current: Mutex::new(None),
             generation: AtomicU64::new(0),
         });
@@ -432,7 +426,7 @@ impl RouteServer {
     /// serving the previous generation meanwhile — the staging buffers
     /// are recycled, so steady-state full updates allocate nothing
     /// beyond the published snapshot), then atomically swaps an
-    /// immutable `(weights, index)` snapshot in. Returns the new
+    /// immutable snapshot of the index in. Returns the new
     /// generation.
     ///
     /// Errors with [`ServeError::NoBackend`] when the server has no
@@ -454,14 +448,16 @@ impl RouteServer {
         }
         let mut staging = self.live.staging.lock().expect("staging lock");
         let t0 = Instant::now();
-        match staging.cch.as_mut() {
-            Some(cch) => cch.recustomize_weights(&self.graph, &weights),
-            None => staging.cch = Some(topo.customize_weights(&self.graph, &weights)),
-        }
+        let cch = match staging.as_mut() {
+            Some(cch) => {
+                cch.recustomize_weights(&self.graph, &weights);
+                cch
+            }
+            None => staging.insert(topo.customize_weights(&self.graph, &weights)),
+        };
         self.obs.customize_full_ns.record_duration(t0.elapsed());
         self.obs.swap_full.inc();
-        staging.weights = weights;
-        Ok(self.publish(&staging))
+        Ok(self.publish(cch))
     }
 
     /// Patches the installed live weights with a sparse telemetry delta
@@ -495,41 +491,30 @@ impl RouteServer {
             return Err(ServeError::InvalidWeights);
         }
         let mut staging = self.live.staging.lock().expect("staging lock");
-        if staging.cch.is_none() {
+        let Some(cch) = staging.as_mut() else {
             self.obs.error(ServeError::NoBackend);
             return Err(ServeError::NoBackend);
-        }
-        for &(e, w) in updates {
-            staging.weights[e.index()] = w;
-        }
+        };
         let t0 = Instant::now();
-        let recomputed = staging
-            .cch
-            .as_mut()
-            .expect("checked above")
-            .apply_weight_delta(updates);
+        let recomputed = cch.apply_weight_delta(updates);
         self.obs.customize_sparse_ns.record_duration(t0.elapsed());
         self.obs.delta_edges.record(updates.len() as u64);
         self.obs.recomputed_arcs.record(recomputed as u64);
         self.obs.swap_sparse.inc();
-        Ok(self.publish(&staging))
+        Ok(self.publish(cch))
     }
 
-    /// Publishes the staging pair: clones an immutable snapshot, stamps
+    /// Publishes the staging index: clones an immutable snapshot, stamps
     /// the next generation and swaps it into the served slot. Must be
     /// called with the staging lock held — that serializes generation
     /// assignment with the publish itself, so generations observed
     /// through the served slot are monotone even when sparse and full
     /// updates race. (The snapshot's customization scratch clones as
     /// empty, so served copies stay lean.)
-    fn publish(&self, staging: &LiveStaging) -> u64 {
-        let cch = Arc::new(staging.cch.as_ref().expect("staging customized").clone());
+    fn publish(&self, staging: &Cch) -> u64 {
+        let cch = Arc::new(staging.clone());
         let generation = self.live.generation.fetch_add(1, Ordering::SeqCst) + 1;
-        let lw = Arc::new(LiveWeights {
-            generation,
-            weights: staging.weights.clone(),
-            cch,
-        });
+        let lw = Arc::new(LiveWeights { generation, cch });
         *self.live.current.lock().expect("live lock") = Some(lw);
         self.obs.live_generation.set(generation as i64);
         generation
@@ -707,7 +692,7 @@ fn process_batch(
             Metric::TravelTime => serve_group(engine, obs, cfg, jobs, CostModel::TravelTime, 0),
             Metric::Live => {
                 // One snapshot per batch: every request in it sees this
-                // exact (weights, cch) pair — old or new around a swap,
+                // exact index and vector — old or new around a swap,
                 // never a mix.
                 let snapshot = live.current.lock().expect("live lock").clone();
                 let Some(lw) = snapshot else {
@@ -721,12 +706,18 @@ fn process_batch(
                     engine.set_cch(Some(Arc::clone(&lw.cch)));
                     *mounted_live = Some(Arc::clone(&lw));
                 }
+                // Folding over the index's own vector lets every
+                // `usable_for` gate pass on pointer identity, no scan.
+                let weights = lw
+                    .cch
+                    .custom_weights()
+                    .expect("live CCH is custom-weighted");
                 serve_group(
                     engine,
                     obs,
                     cfg,
                     jobs,
-                    CostModel::Custom(&lw.weights),
+                    CostModel::Custom(weights),
                     lw.generation,
                 );
             }

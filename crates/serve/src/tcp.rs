@@ -42,6 +42,11 @@
 //! BadRequest`; unknown edges and non-finite / negative weights answer
 //! `ERR InvalidWeights`.
 //!
+//! Lines may be pipelined: a client can send several before reading,
+//! and the replies come back in order. Each accepted socket sets
+//! `TCP_NODELAY`, so no reply waits on the client's delayed ACK of the
+//! one before it.
+//!
 //! The protocol is a demo transport for the `serve` binary — the
 //! benchmarks drive the server in-process so transport noise never
 //! pollutes the latency numbers.
@@ -149,6 +154,11 @@ fn stats_reply(server: &RouteServer, line: &str) -> String {
 
 /// Serves one connection until EOF or a write error.
 pub fn serve_connection(stream: TcpStream, server: &RouteServer) -> std::io::Result<()> {
+    // Each reply is one small write. With Nagle on, a client that
+    // pipelines lines gets the first reply at once and every later one
+    // held until that reply is ACKed — and the client's delayed ACK
+    // stalls about 40 ms per burst.
+    stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let reader = BufReader::new(stream);
     for line in reader.lines() {

@@ -780,3 +780,62 @@ fn serve_tcp_round_trip() {
     reader.read_line(&mut line).expect("reply");
     assert_eq!(line.trim(), "ERR NoBackend n=1");
 }
+
+#[test]
+fn serve_tcp_pipelined_bursts_are_not_held_back() {
+    // Four ROUTE lines in one write, then four replies read back. The
+    // server answers each line with its own small write; unless the
+    // socket disables Nagle, every reply after the first waits for the
+    // client's (delayed) ACK of the one before, ~40 ms per burst.
+    let graph = Arc::new(integer_city(6));
+    let ch = Arc::new(ContractionHierarchy::build(
+        &graph,
+        LandmarkMetric::Length,
+        &ChConfig::default(),
+    ));
+    let topo = Arc::new(CchTopology::build(&graph, &CchConfig::default()));
+    let server = Arc::new(RouteServer::start(
+        Arc::clone(&graph),
+        ServerIndexes {
+            ch: Some(ch),
+            cch_topology: Some(topo),
+            ..ServerIndexes::default()
+        },
+        ServeConfig {
+            shards: 1,
+            ..ServeConfig::default()
+        },
+    ));
+    assert_eq!(
+        server.update_live_weights(integer_live_weights(&graph, 0xb0b)),
+        Ok(1)
+    );
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
+    let addr = listener.local_addr().expect("addr");
+    {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || {
+            let _ = pathrank_serve::tcp::run_listener(listener, server);
+        });
+    }
+    // A plain client socket: default options, Nagle and delayed ACKs on.
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let burst = b"ROUTE 0 35 live\nROUTE 5 30 length\nROUTE 35 0 live\nROUTE 12 23 length\n";
+    let mut line = String::new();
+    for round in 0..6 {
+        let t0 = Instant::now();
+        writer.write_all(burst).expect("send");
+        for i in 0..4 {
+            line.clear();
+            reader.read_line(&mut line).expect("reply");
+            assert!(line.starts_with("OK "), "round {round} reply {i}: {line:?}");
+        }
+        let elapsed = t0.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(20),
+            "round {round}: a pipelined burst of 4 took {elapsed:?}"
+        );
+    }
+}

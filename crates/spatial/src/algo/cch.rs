@@ -13,10 +13,13 @@
 //!    order using the same deterministic edge-difference + lazy-update
 //!    ordering as `ch.rs`, but run on *topology only* (an arc between a
 //!    pair of uncontracted neighbours exists or it does not — no witness
-//!    searches, no weights). Contracting `v` inserts an arc `u -> w` for
-//!    every in/out neighbour pair and records the **lower triangle**
-//!    `(u -> w, u -> v, v -> w)`; the full chordal shortcut topology and
-//!    its supporting-arc links are materialised exactly once.
+//!    searches, no weights). Every arc first gets its reverse (a one-way
+//!    street's missing direction has no original edge). Contracting `v`
+//!    then inserts an arc `u -> w` for every in/out neighbour pair and
+//!    records the **lower triangle** `(u -> w, u -> v, v -> w)`; the
+//!    full symmetric chordal topology and its supporting-arc links are
+//!    materialised exactly once, along with the **elimination tree**
+//!    (each vertex's parent is its lowest-ranked upper neighbour).
 //! 2. **Customization** ([`CchTopology::customize`] /
 //!    [`CchTopology::customize_weights`]) re-derives every arc weight for
 //!    a concrete metric: initialise each arc from its cheapest parallel
@@ -32,12 +35,19 @@
 //!    the arcs owning the changed edges and chases the change upward
 //!    through the triangle DAG, stopping wherever a recomputed weight
 //!    lands on the same bits, sub-millisecond for percent-level deltas.
-//! 3. **Queries** reuse the stall-on-demand bidirectional upward search
-//!    of [`ContractionHierarchy`] unchanged: a customized [`Cch`] embeds
-//!    a real `ContractionHierarchy` whose arc pool and CSR search graphs
-//!    were re-weighted in place, so point-to-point queries, shortcut
-//!    unpacking and the bucket-based many-to-many sweeps all run on the
-//!    battle-tested code paths and stay exact.
+//! 3. **Queries** are elimination-tree queries: on a symmetric chordal
+//!    topology every upper neighbour of a vertex is one of its
+//!    elimination-tree ancestors, so the forward and backward searches
+//!    just walk the ancestor chains of `source` and `target` in
+//!    ascending rank, relaxing each visited vertex's upward (forward) or
+//!    downward (backward) arcs, and check meets only at common
+//!    ancestors. There is no priority queue and no stall-on-demand; a
+//!    label at or past the best meet is not relaxed. A customized
+//!    [`Cch`] embeds a `ContractionHierarchy` whose arc pool and CSR
+//!    search graphs were re-weighted in place, so shortcut unpacking and
+//!    the bucket-based many-to-many sweeps still run on the CH code
+//!    paths. Reverse arcs nothing supports stay at `+inf` and never
+//!    relax in either.
 //!
 //! The price of skipping witness searches is a denser search graph (every
 //! chordal fill-in arc is kept, where CH would prune witnessed ones), so
@@ -52,7 +62,7 @@ use std::sync::Arc;
 
 use crossbeam::thread;
 
-use crate::algo::ch::{ChArc, ChArcKind, ChSearch, ContractionHierarchy};
+use crate::algo::ch::{ChArc, ChArcKind, ChSearch, ChSide, ContractionHierarchy, SearchArc};
 use crate::algo::landmarks::LandmarkMetric;
 use crate::graph::{CostModel, EdgeId, Graph, VertexId};
 
@@ -132,6 +142,12 @@ pub struct CchTopology {
     /// bijection; partial customization uses it to sync a changed arc's
     /// segment weight without the full-sweep `seg_arcs` pass.
     arc_to_seg: Vec<u32>,
+    /// Elimination-tree parent of every vertex, in rank space: the
+    /// lowest-ranked upper neighbour, `u32::MAX` at a root. The topology
+    /// is symmetric and chordal, so every upper neighbour of a vertex is
+    /// one of its ancestors — the query walks these chains instead of
+    /// running a priority queue.
+    parent: Vec<u32>,
     /// Pre-assembled search-graph skeleton: the final arc pool and
     /// per-rank CSR with placeholder weights. [`CchTopology::customize`]
     /// clones it and rewrites weights/expansion rules in place — arc ids
@@ -194,6 +210,26 @@ impl TopoBuilder {
                     out_adj[e.from.index()].push(a);
                     in_adj[e.to.index()].push(a);
                 }
+            }
+        }
+        // Give every arc its reverse. A one-way street's missing
+        // direction becomes an arc with no originals, which
+        // customization leaves at +inf unless a triangle supports it.
+        // With every arc reversed, each contraction's ins x outs closes
+        // the undirected neighbourhood into a clique: the topology is
+        // chordal, and every upper neighbour of a vertex is one of its
+        // elimination-tree ancestors — what the query walks.
+        for a in 0..arcs.len() {
+            let (from, to) = arcs[a];
+            if !out_adj[to.index()]
+                .iter()
+                .any(|&r| arcs[r as usize].1 == from)
+            {
+                let r = arcs.len() as u32;
+                arcs.push((to, from));
+                originals.push(Vec::new());
+                out_adj[to.index()].push(r);
+                in_adj[from.index()].push(r);
             }
         }
         TopoBuilder {
@@ -469,13 +505,15 @@ impl CchTopology {
             // Placeholder weight/expansion; every customization pass
             // rewrites both. A fill-in arc always has at least one
             // supporting triangle (the pair recorded when it was
-            // created), so the placeholder expansion is well-formed.
-            let kind = match a.originals.first() {
-                Some(&e) => ChArcKind::Original(e),
-                None => {
-                    let (b, c) = a.triangles[0];
+            // created). A bare reverse arc has neither originals nor
+            // triangles: it stays at +inf under every metric, so it is
+            // never relaxed and never unpacked.
+            let kind = match (a.originals.first(), a.triangles.first()) {
+                (Some(&e), _) => ChArcKind::Original(e),
+                (None, Some(&(b, c))) => {
                     ChArcKind::Shortcut(new_id[b as usize], new_id[c as usize])
                 }
+                (None, None) => ChArcKind::Shortcut(u32::MAX, u32::MAX),
             };
             skel_arcs.push(ChArc {
                 from: a.from,
@@ -489,11 +527,17 @@ impl CchTopology {
         }
 
         let skeleton = ContractionHierarchy::assemble(LandmarkMetric::Length, m, rank, skel_arcs);
+        let parent: Vec<u32> = (0..n as u32)
+            .map(|r| {
+                let up = skeleton.up_arcs(r).iter();
+                up.map(|sa| sa.other).min().unwrap_or(u32::MAX)
+            })
+            .collect();
 
-        // Reverse indexes for sparse partial customization. All three
-        // are pure functions of the CSRs above, so the io layer's
-        // on-disk format is untouched — loaded topologies recompute them
-        // here just like built ones.
+        // Reverse indexes for sparse partial customization and the
+        // elimination-tree parents. All are pure functions of the CSRs
+        // above, so the io layer's on-disk format stores none of them —
+        // loaded topologies recompute them here just like built ones.
         let mut edge_arc = vec![u32::MAX; m];
         for a in 0..arc_count {
             let lo = orig_offsets[a] as usize;
@@ -547,8 +591,64 @@ impl CchTopology {
             dep_arcs,
             dep_pairs,
             arc_to_seg,
+            parent,
             skeleton,
         }
+    }
+
+    /// Checks raw arcs from an untrusted source (the io reader) for the
+    /// invariants the elimination-tree query relies on, beyond the
+    /// per-arc checks the reader makes itself:
+    ///
+    /// - symmetry: every arc `u -> w` has its reverse `w -> u`;
+    /// - an arc with neither originals nor triangles is only the bare
+    ///   reverse of an arc that has originals (a one-way street);
+    /// - chordality: the rank order is a perfect elimination order, i.e.
+    ///   the upper neighbours of each vertex other than its lowest one
+    ///   (its elimination-tree parent) are upper neighbours of that
+    ///   parent too. By induction every upper neighbour of a vertex is
+    ///   then one of its ancestors.
+    ///
+    /// Arc endpoints must already be in range and unique per pair.
+    pub(crate) fn validate_raw(rank: &[u32], raw: &[RawArc]) -> Result<(), String> {
+        let n = rank.len();
+        let index: std::collections::HashMap<(VertexId, VertexId), usize> = raw
+            .iter()
+            .enumerate()
+            .map(|(i, a)| ((a.from, a.to), i))
+            .collect();
+        let mut upper: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for (i, a) in raw.iter().enumerate() {
+            let Some(&rev) = index.get(&(a.to, a.from)) else {
+                return Err(format!(
+                    "arc {i} ({} -> {}) has no reverse arc",
+                    a.from.0, a.to.0
+                ));
+            };
+            if a.originals.is_empty() && a.triangles.is_empty() && raw[rev].originals.is_empty() {
+                return Err(format!(
+                    "arc {i} has no originals and no triangles, and its reverse has no originals"
+                ));
+            }
+            if rank[a.from.index()] < rank[a.to.index()] {
+                upper[rank[a.from.index()] as usize].push(rank[a.to.index()]);
+            }
+        }
+        let mut mark = vec![u32::MAX; n];
+        for (r, up) in upper.iter().enumerate() {
+            let Some(&p) = up.iter().min() else {
+                continue;
+            };
+            for &u in &upper[p as usize] {
+                mark[u as usize] = r as u32;
+            }
+            if let Some(&u) = up.iter().find(|&&u| u != p && mark[u as usize] != r as u32) {
+                return Err(format!(
+                    "topology is not chordal: upper neighbours at ranks {p} and {u} of rank {r} are not adjacent"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Vertex count of the graph the topology was built for.
@@ -568,7 +668,8 @@ impl CchTopology {
         self.orig_offsets.len() - 1
     }
 
-    /// Fill-in arcs: chordal shortcuts with no underlying original edge.
+    /// Arcs with no underlying original edge: chordal fill-ins plus the
+    /// reverse of every one-way edge.
     pub fn fill_in_count(&self) -> usize {
         (0..self.arc_count())
             .filter(|&a| self.originals_of(a).is_empty())
@@ -627,10 +728,23 @@ impl CchTopology {
             .zip(self.dep_pairs[lo..hi].iter().copied())
     }
 
-    /// Arc endpoints in final (level-contiguous) order — the io layer's
-    /// serialisation view.
-    pub(crate) fn arc_endpoints(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
+    /// Arc endpoints in final (level-contiguous) order, one entry per
+    /// directed vertex pair; the topology is symmetric, so `(u, w)` is
+    /// listed exactly when `(w, u)` is.
+    pub fn arc_endpoints(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
         self.skeleton.arcs().iter().map(|a| (a.from, a.to))
+    }
+
+    /// Parent of `v` in the elimination tree: its lowest-ranked upper
+    /// neighbour, `None` at a root (one per connected component). The
+    /// tree is stored in rank space, so this inspection accessor maps
+    /// the parent back to a vertex id with an `O(n)` scan.
+    pub fn elimination_parent(&self, v: VertexId) -> Option<VertexId> {
+        let rank = self.ranks();
+        let p = self.parent[rank[v.index()] as usize];
+        rank.iter()
+            .position(|&r| r == p)
+            .map(|u| VertexId(u as u32))
     }
 
     /// Customizes the topology for `cost`, deriving every arc weight
@@ -777,10 +891,6 @@ impl CchTopology {
                 .expect("CCH customization worker panicked");
             }
         }
-        debug_assert!(
-            weights.iter().all(|w| w.is_finite()),
-            "every arc must end customization with a finite weight"
-        );
     }
 }
 
@@ -952,11 +1062,12 @@ fn relax_arc(triangles: &[(u32, u32)], done: &[f64], w: &mut f64, k: &mut ChArcK
 ///
 /// `Sync` and immutable through `&Cch`; wrap in an [`Arc`] and hand a
 /// clone to every worker's
-/// [`crate::algo::engine::QueryEngine::with_cch`]. Queries run on the
-/// embedded re-weighted [`ContractionHierarchy`], so they are exactly as
-/// exact as plain CH queries — just on weights that may have changed
-/// milliseconds ago. A uniquely owned copy additionally re-weights *in
-/// place*: [`Cch::apply_delta`] / [`Cch::apply_weight_delta`] chase a
+/// [`crate::algo::engine::QueryEngine::with_cch`]. Queries walk the
+/// elimination tree over the embedded re-weighted
+/// [`ContractionHierarchy`]'s search graph and unpack through its arc
+/// pool, so they are as exact as plain CH queries — just on weights that
+/// may have changed milliseconds ago. A uniquely owned copy additionally
+/// re-weights *in place*: [`Cch::apply_delta`] / [`Cch::apply_weight_delta`] chase a
 /// sparse changed-edge delta through only the triangles it touches, and
 /// [`Cch::recustomize`] re-runs the full pass allocation-free — both
 /// bit-identical to a fresh customization, which is what lets a serving
@@ -1021,17 +1132,28 @@ impl Cch {
         match cost {
             CostModel::Length => self.metric == Some(LandmarkMetric::Length),
             CostModel::TravelTime => self.metric == Some(LandmarkMetric::TravelTime),
+            // Same pointer and length is the serving path, which folds
+            // over this index's own vector: O(1) instead of a scan.
             CostModel::Custom(w) => self.custom.as_deref().is_some_and(|c| {
                 c.len() == w.len()
-                    && c.iter()
-                        .zip(w.iter())
-                        .all(|(a, b)| a.to_bits() == b.to_bits())
+                    && (std::ptr::eq(c.as_ptr(), w.as_ptr())
+                        || c.iter()
+                            .zip(w.iter())
+                            .all(|(a, b)| a.to_bits() == b.to_bits()))
             }),
         }
     }
 
-    /// The embedded re-weighted hierarchy — the engine and the
-    /// many-to-many module run queries and sweeps directly on it. Its
+    /// The custom weight vector this index was customized for (`None`
+    /// for a metric customization). Serving
+    /// [`CostModel::Custom`] over this very slice passes
+    /// [`Cch::usable_for`] without a scan.
+    pub fn custom_weights(&self) -> Option<&[f64]> {
+        self.custom.as_deref()
+    }
+
+    /// The embedded re-weighted hierarchy — the engine's many-to-many
+    /// entry points run their bucket sweeps directly on it. Its
     /// own metric tag is a placeholder; gating must go through
     /// [`Cch::usable_for`].
     pub(crate) fn hierarchy(&self) -> &ContractionHierarchy {
@@ -1196,37 +1318,124 @@ impl Cch {
         self.scratch.kinds = k;
     }
 
+    /// The elimination-tree query: walks the ancestor chains of
+    /// `source` and `target` in ascending rank, relaxing each visited
+    /// vertex's upward arcs (forward) or downward arcs (backward). Every
+    /// upper neighbour of a vertex is one of its ancestors, so a label is
+    /// final by the time its chain reaches it, and the top vertex of a
+    /// shortest up-down path is a common ancestor of both ends — meets
+    /// are checked only there. A label at or past the best meet cannot
+    /// improve it and is not relaxed. Returns the meeting vertex (as a
+    /// *rank*) and the arc-weight distance; `None` when unreachable.
+    fn run_query(
+        &self,
+        search: &mut ChSearch,
+        source: VertexId,
+        target: VertexId,
+    ) -> Option<(VertexId, f64)> {
+        let ch = &self.inner;
+        debug_assert_eq!(
+            search.capacity(),
+            ch.vertex_count(),
+            "search sized for another graph"
+        );
+        let parent = &self.topo.parent;
+        let (fwd, bwd) = search.sides_mut();
+        fwd.begin();
+        bwd.begin();
+        let mut x = ch.rank[source.index()];
+        let mut y = ch.rank[target.index()];
+        fwd.relax(VertexId(x), 0.0, u32::MAX);
+        bwd.relax(VertexId(y), 0.0, u32::MAX);
+
+        // Below the lowest common ancestor: advance the lower chain.
+        // Until the chains merge no meet exists, so nothing prunes.
+        while x != y {
+            if x < y {
+                relax_from(fwd, ch.up_arcs(x), x, f64::INFINITY);
+                x = parent[x as usize];
+            } else {
+                relax_from(bwd, ch.down_arcs(y), y, f64::INFINITY);
+                y = parent[y as usize];
+            }
+        }
+        // The common ancestors, up to the root (none when the chains
+        // ended in different trees).
+        let mut best = f64::INFINITY;
+        let mut meet = None;
+        while x != u32::MAX {
+            let v = VertexId(x);
+            let total = fwd.dist(v) + bwd.dist(v);
+            if total < best {
+                best = total;
+                meet = Some(v);
+            }
+            relax_from(fwd, ch.up_arcs(x), x, best);
+            relax_from(bwd, ch.down_arcs(x), x, best);
+            x = parent[x as usize];
+        }
+        meet.map(|m| (m, best))
+    }
+
     /// Cheapest `source -> target` distance as the sum of arc weights
-    /// (see [`ContractionHierarchy::query_cost`]).
+    /// (exact up to float association of shortcut sums; the engine
+    /// re-folds costs over the unpacked edges).
     pub fn query_cost(
         &self,
         search: &mut ChSearch,
         source: VertexId,
         target: VertexId,
     ) -> Option<f64> {
-        self.inner.query_cost(search, source, target)
+        if source == target {
+            return Some(0.0);
+        }
+        self.run_query(search, source, target).map(|(_, d)| d)
     }
 
     /// Cheapest `source -> target` path as the unpacked original-edge
-    /// sequence (see [`ContractionHierarchy::query_edges`]).
+    /// sequence (borrowed from the search's reusable buffer; valid until
+    /// the next query). `None` when unreachable or `source == target`.
     pub fn query_edges<'s>(
         &self,
         search: &'s mut ChSearch,
         source: VertexId,
         target: VertexId,
     ) -> Option<&'s [EdgeId]> {
-        self.inner.query_edges(search, source, target)
+        self.query_path(search, source, target).map(|(e, _)| e)
     }
 
     /// Like [`Cch::query_edges`], also handing back the matching vertex
-    /// sequence (see [`ContractionHierarchy::query_path`]).
+    /// sequence (`edges.len() + 1` entries, source first).
     pub fn query_path<'s>(
         &self,
         search: &'s mut ChSearch,
         source: VertexId,
         target: VertexId,
     ) -> Option<(&'s [EdgeId], &'s [VertexId])> {
-        self.inner.query_path(search, source, target)
+        if source == target {
+            return None;
+        }
+        let (meet, _) = self.run_query(search, source, target)?;
+        Some(self.inner.unpack(search, source, target, meet))
+    }
+}
+
+/// One elimination-tree step: counts `v` (a rank) as visited and, when
+/// its label is below `best`, relaxes `arcs` out of it. `+inf` arcs (a
+/// one-way street's unsupported reverse) never improve a label.
+#[inline]
+fn relax_from(side: &mut ChSide, arcs: &[SearchArc], v: u32, best: f64) {
+    side.visit();
+    let d = side.dist(VertexId(v));
+    if d >= best {
+        return;
+    }
+    for sa in arcs {
+        let w = VertexId(sa.other);
+        let nd = d + sa.weight;
+        if nd < side.dist(w) {
+            side.relax(w, nd, sa.arc);
+        }
     }
 }
 

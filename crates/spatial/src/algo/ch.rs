@@ -234,6 +234,14 @@ impl ChSide {
         self.settled_total += 1;
     }
 
+    /// Counts a visited vertex without touching its entry — the
+    /// elimination-tree query ([`crate::algo::cch`]) walks ancestor
+    /// chains instead of settling heap minima.
+    #[inline]
+    pub(crate) fn visit(&mut self) {
+        self.settled_total += 1;
+    }
+
     #[inline]
     pub(crate) fn relax(&mut self, v: VertexId, d: f64, parent_arc: u32) {
         self.entries[v.index()] = ChEntry {
@@ -291,6 +299,12 @@ impl ChSearch {
             self.fwd.settled_total + self.bwd.settled_total,
             self.fwd.pushed_total + self.bwd.pushed_total,
         )
+    }
+
+    /// The forward and backward search sides, for query loops outside
+    /// this module (the CCH elimination-tree query).
+    pub(crate) fn sides_mut(&mut self) -> (&mut ChSide, &mut ChSide) {
+        (&mut self.fwd, &mut self.bwd)
     }
 }
 
@@ -757,6 +771,22 @@ impl ContractionHierarchy {
         &mut self.arcs
     }
 
+    /// Upward out-arcs of the vertex at rank `r` (heads ranked above).
+    #[inline]
+    pub(crate) fn up_arcs(&self, r: u32) -> &[SearchArc] {
+        let lo = self.seg_offsets[r as usize] as usize;
+        let mid = self.seg_mid[r as usize] as usize;
+        &self.seg_arcs[lo..mid]
+    }
+
+    /// Downward in-arcs of the vertex at rank `r` (tails ranked above).
+    #[inline]
+    pub(crate) fn down_arcs(&self, r: u32) -> &[SearchArc] {
+        let mid = self.seg_mid[r as usize] as usize;
+        let hi = self.seg_offsets[r as usize + 1] as usize;
+        &self.seg_arcs[mid..hi]
+    }
+
     /// Stamps the weights epoch (customization layer).
     pub(crate) fn set_weights_epoch(&mut self, epoch: u64) {
         self.weights_epoch = epoch;
@@ -963,6 +993,21 @@ impl ContractionHierarchy {
             return None;
         }
         let (meet, _) = self.run_query(search, source, target)?;
+        Some(self.unpack(search, source, target, meet))
+    }
+
+    /// Unpacks the path a completed query left in `search`: the forward
+    /// parent chain from `meet` (a rank) down to `source`, then the
+    /// backward chain from `meet` down to `target`, each arc expanded
+    /// into original edges. Shared with the CCH elimination-tree query,
+    /// which leaves its parent arcs in the same [`ChSide`] slots.
+    pub(crate) fn unpack<'s>(
+        &self,
+        search: &'s mut ChSearch,
+        source: VertexId,
+        target: VertexId,
+        meet: VertexId,
+    ) -> (&'s [EdgeId], &'s [VertexId]) {
         // Forward chain: arcs source -> meet, gathered top-down. The
         // parent chains live in rank space; the pool arcs they name are
         // in vertex space.
@@ -1010,7 +1055,7 @@ impl ContractionHierarchy {
         search.edge_buf = edges;
         search.vertex_buf = vertices;
         search.unpack_stack = stack;
-        Some((&search.edge_buf, &search.vertex_buf))
+        (&search.edge_buf, &search.vertex_buf)
     }
 }
 

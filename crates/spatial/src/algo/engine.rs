@@ -745,8 +745,8 @@ pub enum SearchBackend {
     Plain,
     /// ALT landmark triangle-inequality bounds.
     Alt,
-    /// Customizable-CH bidirectional upward search on re-customized
-    /// weights (see [`crate::algo::cch`]).
+    /// Customizable-CH elimination-tree query on re-customized weights
+    /// (see [`crate::algo::cch`]).
     Cch,
     /// Contraction-hierarchy bidirectional upward search.
     Ch,
@@ -773,7 +773,9 @@ pub enum SearchBackend {
 ///   epoch, `metric_mismatch` when it does not cover the cost model).
 /// * `pathrank_engine_settled_nodes_total` /
 ///   `pathrank_engine_heap_pushes_total` — search work, summed over
-///   every space the query touched.
+///   every space the query touched. The CCH query has no heap: there
+///   "settled" counts the ancestors each side's chain walk visited, and
+///   "pushes" counts label improvements.
 #[derive(Clone)]
 pub struct EngineObs {
     enabled: bool,
@@ -1187,7 +1189,7 @@ impl<'g> QueryEngine<'g> {
     /// *unconstrained* point-to-point query whose cost model the
     /// customization covers — including a bitwise-matching
     /// [`CostModel::Custom`] vector, which no other index backend can
-    /// serve — dispatches to the CH bidirectional upward search on the
+    /// serve — dispatches to the elimination-tree query on the
     /// re-customized weights. Gated per query on the weights epoch like
     /// every index, so a `Cch` customized before the latest
     /// [`Graph::set_edge_speeds`] call is skipped, never stale.

@@ -31,8 +31,9 @@
 //!   read;
 //! * [`write_cch`] / [`read_cch`] — the *metric-independent* half of a
 //!   customizable hierarchy ([`CchTopology`]): the fingerprint, the
-//!   contraction order and the chordal arc topology with its
-//!   supporting triangles. No weights are stored — they are re-derived
+//!   contraction order and the symmetric chordal arc topology with its
+//!   supporting triangles (`pathrank-cch v2`; v1 files predate the
+//!   reverse arcs the elimination-tree query needs). No weights are stored — they are re-derived
 //!   in milliseconds by `customize` after loading, so one persisted
 //!   topology serves every metric, custom cost vector and live-traffic
 //!   epoch.
@@ -72,7 +73,7 @@ use crate::osm::{ImportConfig, ImportStats, ImportedGraph};
 const MAGIC: &str = "pathrank-graph v1";
 const LANDMARKS_MAGIC: &str = "pathrank-landmarks v1";
 const CH_MAGIC: &str = "pathrank-ch v1";
-const CCH_MAGIC: &str = "pathrank-cch v1";
+const CCH_MAGIC: &str = "pathrank-cch v2";
 const IMPORTED_MAGIC: &str = "pathrank-osm-graph v1";
 
 /// Writes `g` to `out` in the v1 text format.
@@ -493,7 +494,7 @@ pub fn ch_from_str(s: &str) -> Result<ContractionHierarchy, SpatialError> {
 }
 
 /// Writes the metric-independent half of a customizable contraction
-/// hierarchy ([`CchTopology`]) in the v1 text format: the graph
+/// hierarchy ([`CchTopology`]) in the v2 text format: the graph
 /// fingerprint, the rank permutation, and one line per chordal arc
 /// (`c <from> <to> o <k> <edges…> t <j> <b c …>`) listing its merged
 /// original edges and supporting lower triangles. Weights are not
@@ -530,14 +531,19 @@ pub fn cch_to_string(topo: &CchTopology) -> String {
     String::from_utf8(buf).expect("format is ASCII")
 }
 
-/// Reads a CCH topology in the v1 text format, recomputing elimination
-/// levels and rebuilding the search-graph skeleton. Validates the rank
-/// permutation, arc endpoints, per-pair arc uniqueness, edge references
-/// and triangle structure (each triangle's legs must connect through an
-/// intermediate vertex ranked below both endpoints, which is what makes
-/// customization well-ordered and unpacking terminate); corrupt input
-/// yields [`SpatialError::Parse`] instead of a topology that would
-/// mis-route after customization.
+/// Reads a CCH topology in the v2 text format, recomputing elimination
+/// levels, the elimination tree and the search-graph skeleton. Validates
+/// the rank permutation, arc endpoints, per-pair arc uniqueness, edge
+/// references and triangle structure (each triangle's legs must connect
+/// through an intermediate vertex ranked below both endpoints, which is
+/// what makes customization well-ordered and unpacking terminate), then
+/// the whole-topology invariants the elimination-tree query needs: every
+/// arc has its reverse, an arc with neither originals nor triangles is
+/// only the bare reverse of a real edge, and the rank order is a perfect
+/// elimination order (chordal). Corrupt input — including a v1 file,
+/// whose one-way arcs lack their reverses — yields
+/// [`SpatialError::Parse`] instead of a topology that would mis-route
+/// after customization.
 pub fn read_cch<R: BufRead>(input: R) -> Result<CchTopology, SpatialError> {
     let mut lines = input.lines();
     let header = next_content_line(&mut lines)?;
@@ -630,11 +636,6 @@ pub fn read_cch<R: BufRead>(input: R) -> Result<CchTopology, SpatialError> {
             )));
         }
         let j = parse_u32(it.next(), "triangle count")? as usize;
-        if k == 0 && j == 0 {
-            return Err(SpatialError::Parse(format!(
-                "fill-in arc {i} has no supporting triangle"
-            )));
-        }
         let mut triangles = Vec::with_capacity(j.min(MAX_PREALLOC));
         for _ in 0..j {
             let b = parse_u32(it.next(), "triangle arc")?;
@@ -673,6 +674,7 @@ pub fn read_cch<R: BufRead>(input: R) -> Result<CchTopology, SpatialError> {
             triangles,
         });
     }
+    CchTopology::validate_raw(&rank, &raw).map_err(SpatialError::Parse)?;
     Ok(CchTopology::from_raw(
         m,
         rank,
@@ -681,7 +683,7 @@ pub fn read_cch<R: BufRead>(input: R) -> Result<CchTopology, SpatialError> {
     ))
 }
 
-/// Parses a CCH topology from its v1 text representation.
+/// Parses a CCH topology from its v2 text representation.
 pub fn cch_from_str(s: &str) -> Result<CchTopology, SpatialError> {
     read_cch(s.as_bytes())
 }
@@ -1769,10 +1771,21 @@ mod tests {
             toks[t_pos + 2] = format!("{}", topo.arc_count() + 9);
             assert!(cch_from_str(&text.replace(&tri_line, &toks.join(" "))).is_err());
             // A fill-in arc stripped of its triangles has no way to ever
-            // receive a finite weight; the reader must refuse it.
+            // receive a finite weight; the reader must refuse it. (A true
+            // fill-in: its reverse has no originals either, so it is not
+            // the bare reverse of a one-way edge.)
+            let has_originals = |from: &str, to: &str| {
+                text.lines().any(|l| {
+                    let t: Vec<&str> = l.split_ascii_whitespace().collect();
+                    t.len() > 4 && t[0] == "c" && t[1] == from && t[2] == to && t[4] != "0"
+                })
+            };
             let fill_in = text
                 .lines()
-                .find(|l| l.starts_with("c ") && l.contains(" o 0 "))
+                .find(|l| {
+                    let t: Vec<&str> = l.split_ascii_whitespace().collect();
+                    t[0] == "c" && t[4] == "0" && !has_originals(t[2], t[1])
+                })
                 .expect("region CCH has fill-in arcs")
                 .to_string();
             let t_pos = fill_in.find(" t ").unwrap();
@@ -1781,6 +1794,51 @@ mod tests {
             // Trailing tokens on an arc line are rejected.
             let padded = format!("{} 4", first_orig);
             assert!(cch_from_str(&text.replace(&first_orig, &padded)).is_err());
+            // A v1 header: v1 topologies lack the reverse arcs the
+            // elimination-tree query needs, so they are not read.
+            assert!(cch_from_str(&text.replacen(CCH_MAGIC, "pathrank-cch v1", 1)).is_err());
+            // An asymmetric file: dropping the last arc (top level, so no
+            // triangle references it) orphans its reverse.
+            let last = text.lines().last().unwrap();
+            let orphaned = text
+                .replace(&arcs_line, &format!("arcs {}", topo.arc_count() - 1))
+                .replace(&format!("{last}\n"), "");
+            let err = cch_from_str(&orphaned).expect_err("asymmetric file accepted");
+            assert!(err.to_string().contains("no reverse"), "{err}");
+            // Hand-written four-vertex files for the reverse-only and
+            // chordality rules.
+            let read = |arcs: &[&str]| {
+                let mut s = format!(
+                    "{CCH_MAGIC}\ngraph 4 4\nranks 0 1 2 3\narcs {}\n",
+                    arcs.len()
+                );
+                for a in arcs {
+                    s.push_str(a);
+                    s.push('\n');
+                }
+                cch_from_str(&s)
+            };
+            // A one-way edge's bare reverse (no originals, no triangles)
+            // is accepted...
+            let one_way = read(&["c 0 1 o 1 0 t 0", "c 1 0 o 0 t 0"]).expect("bare reverse");
+            assert_eq!(one_way.arc_count(), 2);
+            assert_eq!(one_way.fill_in_count(), 1);
+            // ...but a bare arc whose reverse is bare too is not.
+            assert!(read(&["c 0 1 o 0 t 0", "c 1 0 o 0 t 0"]).is_err());
+            // A chordless 4-cycle 0-1-2-3-0 is symmetric but not chordal:
+            // vertex 0's upper neighbours 1 and 3 are not adjacent.
+            let cycle = [
+                "c 0 1 o 1 0 t 0",
+                "c 1 0 o 0 t 0",
+                "c 1 2 o 1 1 t 0",
+                "c 2 1 o 0 t 0",
+                "c 2 3 o 1 2 t 0",
+                "c 3 2 o 0 t 0",
+                "c 3 0 o 1 3 t 0",
+                "c 0 3 o 0 t 0",
+            ];
+            let err = read(&cycle).expect_err("non-chordal file accepted");
+            assert!(err.to_string().contains("not chordal"), "{err}");
         }
     }
 }
