@@ -24,7 +24,6 @@ use pathrank_spatial::algo::cch::{Cch, CchConfig, CchTopology};
 use pathrank_spatial::algo::ch::{ChConfig, ContractionHierarchy};
 use pathrank_spatial::algo::engine::{EngineObs, QueryEngine};
 use pathrank_spatial::algo::landmarks::{LandmarkConfig, LandmarkMetric, LandmarkTable};
-use pathrank_spatial::frozen::FrozenGraph;
 use pathrank_spatial::generators::{region_network, RegionConfig};
 use pathrank_spatial::graph::{EdgeId, Graph};
 use pathrank_spatial::path::Path;
@@ -152,12 +151,6 @@ pub struct Workbench {
     /// customization time. A cached entry whose epoch no longer matches
     /// the graph is re-customized, never served stale.
     cch_cache: Mutex<HashMap<LandmarkMetric, Arc<Cch>>>,
-    /// Cache-compact frozen serving form of the graph, built on first
-    /// use and mounted into every serving engine. Plain/ALT searches
-    /// relax its merged single-array CSR instead of the builder graph;
-    /// the engine's weights-epoch gate falls back automatically after a
-    /// live weight mutation.
-    frozen: OnceLock<Arc<FrozenGraph>>,
     /// Sparse changed-edge log across [`Workbench::set_edge_speeds`]
     /// calls: the contiguous weights-epoch span it covers plus the
     /// changed `(edge, speed)` entries in application order. Lets
@@ -242,7 +235,6 @@ impl Workbench {
             tt_ch: OnceLock::new(),
             cch_topo: OnceLock::new(),
             cch_cache: Mutex::new(HashMap::new()),
-            frozen: OnceLock::new(),
             speed_deltas: Mutex::new(SpeedDeltaLog::default()),
             registry,
         }
@@ -302,16 +294,6 @@ impl Workbench {
         )
     }
 
-    /// The workbench's shared frozen serving graph (see
-    /// [`pathrank_spatial::frozen`]), built once and cached. Search
-    /// results are bit-identical to the builder graph's — freezing only
-    /// compacts the memory layout a relaxation loop walks — so every
-    /// serving engine mounts it unconditionally.
-    pub fn frozen_graph(&self) -> &Arc<FrozenGraph> {
-        self.frozen
-            .get_or_init(|| Arc::new(FrozenGraph::freeze(&self.graph)))
-    }
-
     /// The workbench's shared ALT landmark table (length metric — what
     /// candidate serving routes on), built once and cached.
     pub fn landmark_table(&self) -> &Arc<LandmarkTable> {
@@ -328,12 +310,12 @@ impl Workbench {
     }
 
     /// Like [`Workbench::query_engine`], but landmark-directed: the
-    /// engine serves the same exact answers with tighter searches —
-    /// the configuration for query-heavy serving paths.
+    /// engine serves the same exact answers with tighter A* searches
+    /// over the workbench graph itself — the configuration for
+    /// query-heavy serving paths.
     pub fn alt_query_engine(&self) -> QueryEngine<'_> {
         self.query_engine()
             .with_landmarks(Arc::clone(self.landmark_table()))
-            .with_frozen(Arc::clone(self.frozen_graph()))
     }
 
     /// The workbench's shared TravelTime-metric landmark table, for
@@ -356,12 +338,12 @@ impl Workbench {
     /// contraction hierarchy for unconstrained point-to-point queries
     /// and batched distance tables, TravelTime ALT landmarks for
     /// everything constrained. Length queries on this engine fall back
-    /// to plain searches (the metric gate is per query).
+    /// to plain searches (the metric gate is per query); every search
+    /// that no hierarchy covers relaxes the workbench graph directly.
     pub fn fastest_query_engine(&self) -> QueryEngine<'_> {
         self.query_engine()
             .with_landmarks(Arc::clone(self.travel_time_landmark_table()))
             .with_ch(Arc::clone(self.travel_time_ch_index()))
-            .with_frozen(Arc::clone(self.frozen_graph()))
     }
 
     /// The workbench's shared contraction hierarchy (length metric),
@@ -518,11 +500,11 @@ impl Workbench {
     /// answers always reflect the latest speed mutations. Re-request the
     /// engine after a weight change — re-customizing costs milliseconds,
     /// not the full-hierarchy rebuild [`Workbench::fastest_query_engine`]
-    /// would need.
+    /// would need. Queries the CCH does not cover run plain searches on
+    /// the workbench graph.
     pub fn live_query_engine(&self) -> QueryEngine<'_> {
         self.query_engine()
             .with_cch(self.cch_index(LandmarkMetric::TravelTime))
-            .with_frozen(Arc::clone(self.frozen_graph()))
     }
 
     /// The node2vec embedding for dimensionality `dim` (cached).
@@ -906,20 +888,11 @@ mod tests {
     }
 
     #[test]
-    fn frozen_graph_is_cached_and_serves_bit_identical_answers() {
+    fn alt_engine_answers_like_plain_before_and_after_weight_mutation() {
         use pathrank_spatial::graph::{CostModel, VertexId};
         let mut wb = Workbench::new(ExperimentConfig::small_test());
-        // Built once, shared by every serving engine.
-        let f1 = Arc::as_ptr(wb.frozen_graph());
-        let f2 = Arc::as_ptr(wb.frozen_graph());
-        assert_eq!(f1, f2, "frozen graph must be cached");
         let mut plain = wb.query_engine();
         let mut alt = wb.alt_query_engine();
-        assert!(
-            alt.uses_frozen(),
-            "serving engines must mount the frozen CSR"
-        );
-        assert!(!plain.uses_frozen(), "the baseline engine must not");
         let n = wb.graph.vertex_count() as u32;
         for (s, t) in [(0, n - 1), (n / 2, 1), (n - 1, n / 3)] {
             let (s, t) = (VertexId(s), VertexId(t));
@@ -929,22 +902,18 @@ mod tests {
                 assert_eq!(
                     a.map(f64::to_bits),
                     b.map(f64::to_bits),
-                    "{s:?}->{t:?} frozen cost diverged"
+                    "{s:?}->{t:?} ALT cost diverged"
                 );
             }
         }
-        // A live weight mutation epoch-gates the frozen layout out; the
-        // engines keep answering (on the builder graph) exactly.
+        // After a live weight mutation the engines keep answering
+        // exactly.
         let updates: Vec<(pathrank_spatial::graph::EdgeId, f64)> = (0..wb.graph.edge_count())
             .step_by(5)
             .map(|e| (pathrank_spatial::graph::EdgeId(e as u32), 11.0))
             .collect();
         wb.graph.set_edge_speeds(&updates);
         let mut after = wb.alt_query_engine();
-        assert!(
-            !after.uses_frozen(),
-            "stale frozen layout must be gated out"
-        );
         let mut plain_after = wb.query_engine();
         let (s, t) = (VertexId(0), VertexId(n - 1));
         assert_eq!(

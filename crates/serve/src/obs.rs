@@ -14,7 +14,7 @@
 //! |---|---|---|
 //! | `pathrank_serve_served_total` | counter | `mode=sequential\|batched` |
 //! | `pathrank_serve_shed_total` | counter | `reason=deadline_expired\|queue_full`, `at=admission\|batch_start` |
-//! | `pathrank_serve_errors_total` | counter | `variant=QueueFull\|DeadlineExpired\|NoBackend\|InvalidWeights\|Shutdown` |
+//! | `pathrank_serve_errors_total` | counter | `variant=QueueFull\|DeadlineExpired\|NoBackend\|InvalidWeights\|Shutdown\|BadRequest` |
 //! | `pathrank_serve_request_latency_ns` | histogram | — (admission to reply, served requests only) |
 //! | `pathrank_serve_batch_size` | histogram | — (coalesced batch sizes at batch start) |
 //! | `pathrank_serve_queue_depth` | gauge | `shard=<n>` |
@@ -46,6 +46,9 @@ pub(crate) struct ServeObs {
     err_no_backend: Counter,
     err_invalid_weights: Counter,
     err_shutdown: Counter,
+    /// `ERR BadRequest` replies of the TCP layer (malformed or over-long
+    /// lines); not a [`ServeError`] variant, so counted on its own.
+    pub(crate) err_bad_request: Counter,
     pub(crate) latency_ns: Histogram,
     pub(crate) batch_size: Histogram,
     /// Indexed by shard.
@@ -79,7 +82,7 @@ impl ServeObs {
         let err = |variant: &str| {
             registry.counter(
                 "pathrank_serve_errors_total",
-                "Error replies returned to callers, by ServeError variant",
+                "Error replies returned to callers, by ServeError variant or BadRequest",
                 &[("variant", variant)],
             )
         };
@@ -123,6 +126,7 @@ impl ServeObs {
             err_no_backend: err("NoBackend"),
             err_invalid_weights: err("InvalidWeights"),
             err_shutdown: err("Shutdown"),
+            err_bad_request: err("BadRequest"),
             latency_ns: registry.histogram(
                 "pathrank_serve_request_latency_ns",
                 "End-to-end latency (admission to reply) of served requests",

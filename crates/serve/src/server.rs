@@ -408,6 +408,12 @@ impl RouteServer {
         self.obs.error_count(e)
     }
 
+    /// Counts one `ERR BadRequest` reply of the TCP layer under
+    /// `pathrank_serve_errors_total{variant="BadRequest"}`.
+    pub(crate) fn count_bad_request(&self) {
+        self.obs.err_bad_request.inc();
+    }
+
     /// Drains the worker trace rings: batch spans (arg = batch size)
     /// and live-swap events, time-sorted across shards. Empty when the
     /// server was started with a disabled registry.

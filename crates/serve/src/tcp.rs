@@ -21,7 +21,13 @@
 //! seeing its first `QueueFull` can tell an isolated blip (`n=1`) from
 //! systemic overload (`n=40000`) without a second round trip.
 //! `BadRequest` is a parse failure on this connection, not a server
-//! error, and carries no counter.
+//! error: its reply carries no `n=`, but every one is counted under
+//! `pathrank_serve_errors_total{variant="BadRequest"}`.
+//!
+//! A line may hold at most `4096 + 64 · E` bytes for a graph of `E`
+//! edges — room for an `UPDATE` naming every edge once. A longer line
+//! answers `ERR BadRequest` and the server closes the connection, so a
+//! client that never sends `\n` cannot grow the server's buffer.
 //!
 //! `STATS` scrapes the server's metrics registry
 //! ([`RouteServer::metrics_snapshot`]) and answers with a framed dump:
@@ -51,14 +57,22 @@
 //! benchmarks drive the server in-process so transport noise never
 //! pollutes the latency numbers.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pathrank_spatial::graph::{EdgeId, VertexId};
 
 use crate::server::{Metric, RouteRequest, RouteServer, ServeError};
+
+/// Line budget independent of the graph: any `ROUTE` or `STATS` line.
+const LINE_BASE_BYTES: usize = 4096;
+
+/// Line budget per graph edge: one `<edge>:<weight>,` pair of an
+/// `UPDATE` (a `u32` id, a weight in shortest round-trip form, and the
+/// separators).
+const LINE_BYTES_PER_EDGE: usize = 64;
 
 /// Parses one `ROUTE` line into a request against `server`'s graph.
 /// Returns `None` on any malformed input (answered as `ERR BadRequest`).
@@ -152,7 +166,36 @@ fn stats_reply(server: &RouteServer, line: &str) -> String {
     }
 }
 
-/// Serves one connection until EOF or a write error.
+/// The answer to one non-empty request line.
+fn answer_line(server: &RouteServer, line: &str) -> String {
+    if line.trim_start().starts_with("STATS") {
+        return stats_reply(server, line);
+    }
+    if line.trim_start().starts_with("UPDATE") {
+        return match parse_update(line) {
+            None => "ERR BadRequest\n".to_string(),
+            Some(updates) => match server.update_live_weights_sparse(&updates) {
+                Ok(generation) => format!("OK {generation}\n"),
+                Err(e) => error_reply(server, e),
+            },
+        };
+    }
+    match parse_line(server, line) {
+        None => "ERR BadRequest\n".to_string(),
+        Some(req) => match server.route(req) {
+            Err(e) => error_reply(server, e),
+            Ok(reply) => format!(
+                "OK {} {:?} {} {}\n",
+                reply.cost.map_or("inf".to_string(), |c| format!("{c}")),
+                reply.backend,
+                u8::from(reply.batched),
+                reply.weights_generation
+            ),
+        },
+    }
+}
+
+/// Serves one connection until EOF, a write error or an over-long line.
 pub fn serve_connection(stream: TcpStream, server: &RouteServer) -> std::io::Result<()> {
     // Each reply is one small write. With Nagle on, a client that
     // pipelines lines gets the first reply at once and every later one
@@ -160,43 +203,37 @@ pub fn serve_connection(stream: TcpStream, server: &RouteServer) -> std::io::Res
     // stalls about 40 ms per burst.
     stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line?;
+    let mut reader = BufReader::new(stream);
+    let max_line = LINE_BASE_BYTES + LINE_BYTES_PER_EDGE * server.graph().edge_count();
+    let mut buf: Vec<u8> = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the budget tells an over-long line from one
+        // that fits exactly.
+        let n = (&mut reader)
+            .take(max_line as u64 + 1)
+            .read_until(b'\n', &mut buf)?;
+        if n == 0 {
+            return Ok(());
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+        } else if buf.len() > max_line {
+            server.count_bad_request();
+            writer.write_all(b"ERR BadRequest\n")?;
+            return writer.shutdown(Shutdown::Write);
+        }
+        // Invalid UTF-8 becomes U+FFFD, which no command parses.
+        let line = String::from_utf8_lossy(&buf);
         if line.trim().is_empty() {
             continue;
         }
-        if line.trim_start().starts_with("STATS") {
-            writer.write_all(stats_reply(server, &line).as_bytes())?;
-            continue;
+        let answer = answer_line(server, &line);
+        if answer.starts_with("ERR BadRequest") {
+            server.count_bad_request();
         }
-        if line.trim_start().starts_with("UPDATE") {
-            let answer = match parse_update(&line) {
-                None => "ERR BadRequest\n".to_string(),
-                Some(updates) => match server.update_live_weights_sparse(&updates) {
-                    Ok(generation) => format!("OK {generation}\n"),
-                    Err(e) => error_reply(server, e),
-                },
-            };
-            writer.write_all(answer.as_bytes())?;
-            continue;
-        }
-        let answer = match parse_line(server, &line) {
-            None => "ERR BadRequest\n".to_string(),
-            Some(req) => match server.route(req) {
-                Err(e) => error_reply(server, e),
-                Ok(reply) => format!(
-                    "OK {} {:?} {} {}\n",
-                    reply.cost.map_or("inf".to_string(), |c| format!("{c}")),
-                    reply.backend,
-                    u8::from(reply.batched),
-                    reply.weights_generation
-                ),
-            },
-        };
         writer.write_all(answer.as_bytes())?;
     }
-    Ok(())
 }
 
 /// Accept loop: one thread per connection, each sharing `server`.

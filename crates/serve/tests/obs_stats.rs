@@ -243,3 +243,42 @@ fn obs_serve_trace_records_batch_spans() {
         .filter(|r| r.label == "batch")
         .all(|r| r.thread == "route-shard-0"));
 }
+
+#[test]
+fn obs_serve_bad_requests_are_counted() {
+    let graph = Arc::new(integer_city(5));
+    let server = start_server(Arc::clone(&graph));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
+    let addr = listener.local_addr().expect("addr");
+    {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || {
+            let _ = pathrank_serve::tcp::run_listener(listener, server);
+        });
+    }
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    // A malformed ROUTE, a malformed UPDATE pair and a bad STATS
+    // argument: the reply text stays bare, the counter moves.
+    for bad in ["ROUTE 0 garbage length\n", "UPDATE 0=1\n", "STATS xml\n"] {
+        line.clear();
+        writer.write_all(bad.as_bytes()).expect("send");
+        reader.read_line(&mut line).expect("reply");
+        assert_eq!(line, "ERR BadRequest\n", "reply to {bad:?}");
+    }
+    writer.write_all(b"STATS\n").expect("send");
+    let samples = promtext::parse(&read_frame(&mut reader)).expect("well-formed exposition");
+    let bad_requests: f64 = samples
+        .iter()
+        .filter(|s| {
+            s.name == "pathrank_serve_errors_total"
+                && s.labels
+                    .iter()
+                    .any(|(k, v)| k == "variant" && v == "BadRequest")
+        })
+        .map(|s| s.value)
+        .sum();
+    assert_eq!(bad_requests, 3.0);
+}

@@ -839,3 +839,103 @@ fn serve_tcp_pipelined_bursts_are_not_held_back() {
         );
     }
 }
+
+/// Starts a TCP listener for `server` on an ephemeral loopback port.
+fn listen(server: &Arc<RouteServer>) -> std::net::SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
+    let addr = listener.local_addr().expect("addr");
+    let server = Arc::clone(server);
+    std::thread::spawn(move || {
+        let _ = pathrank_serve::tcp::run_listener(listener, server);
+    });
+    addr
+}
+
+#[test]
+fn serve_tcp_over_long_line_is_refused_and_closed() {
+    // A client that never sends `\n` must not grow the server's line
+    // buffer without limit: past the budget the server answers
+    // `ERR BadRequest` and closes the connection.
+    let graph = Arc::new(integer_city(6));
+    let server = Arc::new(RouteServer::start(
+        Arc::clone(&graph),
+        ServerIndexes::default(),
+        ServeConfig {
+            shards: 1,
+            ..ServeConfig::default()
+        },
+    ));
+    let stream = TcpStream::connect(listen(&server)).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    // The server stops reading once the budget is spent, so the rest of
+    // the megabyte may fail to send; only the reply matters.
+    let sender = std::thread::spawn(move || {
+        let _ = writer.write_all(&vec![b'x'; 1 << 20]);
+    });
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("reply");
+    assert_eq!(line, "ERR BadRequest\n");
+    line.clear();
+    assert_eq!(
+        reader.read_line(&mut line).expect("EOF after the reply"),
+        0,
+        "the server must close the connection, got {line:?}"
+    );
+    sender.join().expect("sender thread");
+    assert_eq!(
+        server
+            .metrics_snapshot()
+            .counter_total("pathrank_serve_errors_total", &[("variant", "BadRequest")]),
+        1
+    );
+}
+
+#[test]
+fn serve_tcp_whole_graph_update_fits_the_line_budget() {
+    // The line budget grows with the graph: an UPDATE naming every edge
+    // once, with weights in full shortest round-trip precision, is one
+    // legal line.
+    let graph = Arc::new(integer_city(48));
+    let topo = Arc::new(CchTopology::build(&graph, &CchConfig::default()));
+    let server = Arc::new(RouteServer::start(
+        Arc::clone(&graph),
+        ServerIndexes {
+            cch_topology: Some(topo),
+            ..ServerIndexes::default()
+        },
+        ServeConfig {
+            shards: 1,
+            ..ServeConfig::default()
+        },
+    ));
+    let weights = integer_live_weights(&graph, 0x1e6);
+    assert_eq!(server.update_live_weights(weights.clone()), Ok(1));
+    let mut update = String::from("UPDATE ");
+    for (e, w) in weights.iter().enumerate() {
+        if e > 0 {
+            update.push(',');
+        }
+        update.push_str(&format!("{e}:{}", w + 1.0 / 3.0));
+    }
+    update.push('\n');
+
+    let stream = TcpStream::connect(listen(&server)).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    writer.write_all(update.as_bytes()).expect("send");
+    reader.read_line(&mut line).expect("reply");
+    assert_eq!(line.trim(), "OK 2");
+    // The connection stays open for further requests.
+    line.clear();
+    writer.write_all(b"ROUTE 0 2303 live\n").expect("send");
+    reader.read_line(&mut line).expect("reply");
+    assert!(
+        line.starts_with("OK ") && line.trim_end().ends_with(" 2"),
+        "{line:?}"
+    );
+}

@@ -19,6 +19,12 @@
 //! allocate a transient engine, so one-shot callers keep working
 //! unchanged.
 //!
+//! Every Plain and ALT search reads the [`Graph`]'s own CSR, through one
+//! relaxation loop per algorithm: one-to-all Dijkstra
+//! ([`SearchSpace`]'s full sweep), one-to-one Dijkstra with optional
+//! banned sets, and A*. The CH and CCH backends search their own
+//! upward graphs.
+//!
 //! # Example
 //!
 //! ```
@@ -47,7 +53,6 @@ use crate::algo::diversified::{diversified_top_k_with, DiversifiedConfig};
 use crate::algo::landmarks::{LandmarkTable, NodeVectors};
 use crate::algo::m2m::{DistanceTable, M2mSearch};
 use crate::algo::yen::YenIter;
-use crate::frozen::{FrozenArc, FrozenGraph};
 use crate::geometry::Point;
 use crate::graph::{CostModel, EdgeId, Graph, VertexId};
 use crate::path::Path;
@@ -371,225 +376,6 @@ impl SearchSpace {
                 let nd = du + cost.edge_cost(g, e);
                 if nd < self.dist(v) {
                     self.relax(v, nd, (u.0, e.0));
-                    self.heap.push(MinCost {
-                        cost: nd + h(v),
-                        item: v,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Frozen-graph counterpart of [`SearchSpace::run_dijkstra_all`]:
-    /// the same full sweep over the merged-CSR arcs of a
-    /// [`FrozenGraph`]. Arc order and inlined weights mirror the builder
-    /// graph exactly (see [`crate::frozen`]), so heap evolution,
-    /// settle order, distances and parents are all bit-identical — the
-    /// only difference is that each relaxation reads one contiguous
-    /// array instead of three and pays no travel-time division.
-    fn run_dijkstra_all_frozen(
-        &mut self,
-        fz: &FrozenGraph,
-        source: VertexId,
-        cost: CostModel<'_>,
-        reverse: bool,
-    ) {
-        // Dispatch the metric once per query, not once per relaxation:
-        // each arm hands the inner loop a direct field read.
-        match cost {
-            CostModel::Length => {
-                self.run_dijkstra_all_frozen_with(fz, source, reverse, |a| a.length_m)
-            }
-            CostModel::TravelTime => {
-                self.run_dijkstra_all_frozen_with(fz, source, reverse, |a| a.travel_time_s)
-            }
-            CostModel::Custom(costs) => {
-                self.run_dijkstra_all_frozen_with(fz, source, reverse, |a| {
-                    costs[a.edge_id as usize]
-                })
-            }
-        }
-    }
-
-    fn run_dijkstra_all_frozen_with<W: Fn(&FrozenArc) -> f64>(
-        &mut self,
-        fz: &FrozenGraph,
-        source: VertexId,
-        reverse: bool,
-        weight: W,
-    ) {
-        debug_assert_eq!(
-            self.capacity(),
-            fz.vertex_count(),
-            "space sized for another graph"
-        );
-        self.begin();
-        self.relax(source, 0.0, NO_PARENT);
-        self.heap.push(MinCost {
-            cost: 0.0,
-            item: source,
-        });
-        while let Some(MinCost { cost: d, item: u }) = self.heap.pop() {
-            if self.is_settled(u) {
-                continue; // stale heap entry
-            }
-            self.settle(u);
-            let arcs = if reverse {
-                fz.in_arcs(u)
-            } else {
-                fz.out_arcs(u)
-            };
-            for arc in arcs {
-                let v = VertexId(arc.target);
-                if self.is_settled(v) {
-                    continue;
-                }
-                let nd = d + weight(arc);
-                if nd < self.dist(v) {
-                    self.relax(v, nd, (u.0, arc.edge_id));
-                    self.heap.push(MinCost { cost: nd, item: v });
-                }
-            }
-        }
-    }
-
-    /// Frozen-graph counterpart of [`SearchSpace::run_dijkstra`] for the
-    /// unbanned forward shape (the `Plain` point-to-point arm): early
-    /// exit once `target` settles, relaxation over the frozen arcs.
-    /// Bit-identical to the builder-graph search for the same reasons as
-    /// [`SearchSpace::run_dijkstra_all_frozen`].
-    fn run_dijkstra_frozen(
-        &mut self,
-        fz: &FrozenGraph,
-        source: VertexId,
-        target: Option<VertexId>,
-        cost: CostModel<'_>,
-    ) {
-        match cost {
-            CostModel::Length => self.run_dijkstra_frozen_with(fz, source, target, |a| a.length_m),
-            CostModel::TravelTime => {
-                self.run_dijkstra_frozen_with(fz, source, target, |a| a.travel_time_s)
-            }
-            CostModel::Custom(costs) => {
-                self.run_dijkstra_frozen_with(fz, source, target, |a| costs[a.edge_id as usize])
-            }
-        }
-    }
-
-    fn run_dijkstra_frozen_with<W: Fn(&FrozenArc) -> f64>(
-        &mut self,
-        fz: &FrozenGraph,
-        source: VertexId,
-        target: Option<VertexId>,
-        weight: W,
-    ) {
-        debug_assert_eq!(
-            self.capacity(),
-            fz.vertex_count(),
-            "space sized for another graph"
-        );
-        self.begin();
-        self.relax(source, 0.0, NO_PARENT);
-        self.heap.push(MinCost {
-            cost: 0.0,
-            item: source,
-        });
-        while let Some(MinCost { cost: d, item: u }) = self.heap.pop() {
-            if self.is_settled(u) {
-                continue; // stale heap entry
-            }
-            self.settle(u);
-            if target == Some(u) {
-                break;
-            }
-            for arc in fz.out_arcs(u) {
-                let v = VertexId(arc.target);
-                if self.is_settled(v) {
-                    continue;
-                }
-                let w = weight(arc);
-                debug_assert!(
-                    w >= 0.0,
-                    "Dijkstra requires non-negative edge costs, got {w}"
-                );
-                let nd = d + w;
-                if nd < self.dist(v) {
-                    self.relax(v, nd, (u.0, arc.edge_id));
-                    self.heap.push(MinCost { cost: nd, item: v });
-                }
-            }
-        }
-    }
-
-    /// Frozen-graph counterpart of [`SearchSpace::run_astar`] (unbanned):
-    /// relaxation runs over the frozen arcs while the heuristic keeps
-    /// evaluating on the builder graph's full-precision `f64` coordinates
-    /// (the frozen form's `f32` coords are snapping-only — a narrowed
-    /// anchor could produce different f-score tie-breaking).
-    fn run_astar_frozen(
-        &mut self,
-        g: &Graph,
-        fz: &FrozenGraph,
-        source: VertexId,
-        target: VertexId,
-        cost: CostModel<'_>,
-        heuristic: &Heuristic<'_>,
-    ) {
-        match cost {
-            CostModel::Length => {
-                self.run_astar_frozen_with(g, fz, source, target, heuristic, |a| a.length_m)
-            }
-            CostModel::TravelTime => {
-                self.run_astar_frozen_with(g, fz, source, target, heuristic, |a| a.travel_time_s)
-            }
-            CostModel::Custom(costs) => {
-                self.run_astar_frozen_with(g, fz, source, target, heuristic, |a| {
-                    costs[a.edge_id as usize]
-                })
-            }
-        }
-    }
-
-    fn run_astar_frozen_with<W: Fn(&FrozenArc) -> f64>(
-        &mut self,
-        g: &Graph,
-        fz: &FrozenGraph,
-        source: VertexId,
-        target: VertexId,
-        heuristic: &Heuristic<'_>,
-        weight: W,
-    ) {
-        debug_assert_eq!(
-            self.capacity(),
-            fz.vertex_count(),
-            "space sized for another graph"
-        );
-        let h = |v: VertexId| heuristic.eval(g, v);
-
-        self.begin();
-        self.relax(source, 0.0, NO_PARENT);
-        self.heap.push(MinCost {
-            cost: h(source),
-            item: source,
-        });
-
-        while let Some(MinCost { item: u, .. }) = self.heap.pop() {
-            if self.is_settled(u) {
-                continue;
-            }
-            self.settle(u);
-            if u == target {
-                break;
-            }
-            let du = self.dist[u.index()];
-            for arc in fz.out_arcs(u) {
-                let v = VertexId(arc.target);
-                if self.is_settled(v) {
-                    continue;
-                }
-                let nd = du + weight(arc);
-                if nd < self.dist(v) {
-                    self.relax(v, nd, (u.0, arc.edge_id));
                     self.heap.push(MinCost {
                         cost: nd + h(v),
                         item: v,
@@ -973,14 +759,6 @@ pub struct QueryEngine<'g> {
     /// covers whatever metric or custom weight vector it was customized
     /// for; ranked between `Ch` and `Alt`.
     cch: Option<Arc<Cch>>,
-    /// Optional shared frozen serving graph (see
-    /// [`QueryEngine::with_frozen`]): when mounted and weight-current,
-    /// `Plain` and `Alt` searches relax the cache-compact merged-CSR
-    /// arcs instead of the builder graph's triple-indirect CSR — same
-    /// results bit-for-bit, fewer cache misses per relaxation. Not a
-    /// [`SearchBackend`] of its own: it changes the memory layout a
-    /// search walks, never which search runs.
-    frozen: Option<Arc<FrozenGraph>>,
     /// CH/CCH scratch state, allocated on the first hierarchy-backed
     /// query (both hierarchies share one scratch — it is keyed only on
     /// the vertex count).
@@ -1056,7 +834,6 @@ impl<'g> QueryEngine<'g> {
             landmarks: None,
             ch: None,
             cch: None,
-            frozen: None,
             ch_search: None,
             m2m_search: None,
             m2m_prepared: None,
@@ -1237,67 +1014,6 @@ impl<'g> QueryEngine<'g> {
         self.cch
             .as_ref()
             .is_some_and(|c| c.usable_for(&cost) && c.weights_epoch() == self.g.weights_epoch())
-    }
-
-    /// Mounts a [`FrozenGraph`] — the cache-compact serving form of this
-    /// engine's graph ([`FrozenGraph::freeze`]). Every `Plain`/`Alt`
-    /// search (point-to-point, A*, one-to-all, one-to-all-reverse) then
-    /// relaxes the frozen merged-CSR arcs instead of the builder CSR;
-    /// results are bit-identical because the frozen form copies arc
-    /// order verbatim and precomputes weights with the exact
-    /// [`CostModel::edge_cost`] expressions. Constrained (banned-set)
-    /// and bidirectional searches keep using the builder graph, and
-    /// CH/CCH backends already own their merged CSRs.
-    ///
-    /// Like every attached index, the frozen form is gated per query on
-    /// [`Graph::weights_epoch`]: after a live weight mutation it is
-    /// silently skipped until a re-frozen form is mounted.
-    ///
-    /// # Panics
-    /// If the frozen form's vertex/edge counts do not match this
-    /// engine's graph.
-    pub fn with_frozen(mut self, frozen: Arc<FrozenGraph>) -> Self {
-        self.set_frozen(Some(frozen));
-        self
-    }
-
-    /// Non-consuming form of [`QueryEngine::with_frozen`]: swaps the
-    /// shared frozen graph in place (or detaches it with `None`). Same
-    /// fingerprint panic as the builder form.
-    pub fn set_frozen(&mut self, frozen: Option<Arc<FrozenGraph>>) {
-        if let Some(fz) = &frozen {
-            assert_eq!(
-                (fz.vertex_count(), fz.edge_count()),
-                (self.g.vertex_count(), self.g.edge_count()),
-                "frozen graph derived from a different graph"
-            );
-        }
-        self.frozen = frozen;
-    }
-
-    /// The mounted frozen serving graph, if any.
-    pub fn frozen_graph(&self) -> Option<&Arc<FrozenGraph>> {
-        self.frozen.as_ref()
-    }
-
-    /// Whether `Plain`/`Alt` searches currently relax frozen arcs (a
-    /// frozen form is mounted and weight-current). Cost-model
-    /// independent: the frozen arcs inline both graph metrics and index
-    /// `Custom` slices by edge id.
-    pub fn uses_frozen(&self) -> bool {
-        self.frozen
-            .as_ref()
-            .is_some_and(|f| f.weights_epoch() == self.g.weights_epoch())
-    }
-
-    /// The frozen graph to relax this query, if current — an `Arc`
-    /// clone, so callers can keep it alive across a mutable borrow of
-    /// the search spaces.
-    fn usable_frozen(&self) -> Option<Arc<FrozenGraph>> {
-        self.frozen
-            .as_ref()
-            .filter(|f| f.weights_epoch() == self.g.weights_epoch())
-            .cloned()
     }
 
     /// Resolves the [`SearchBackend`] an unconstrained point-to-point
@@ -1530,15 +1246,8 @@ impl<'g> QueryEngine<'g> {
                 self.fwd.extract_path(source, target)
             }
             SearchBackend::Plain => {
-                match self.usable_frozen() {
-                    Some(fz) => self
-                        .fwd
-                        .run_dijkstra_frozen(&fz, source, Some(target), cost),
-                    None => {
-                        self.fwd
-                            .run_dijkstra(self.g, source, Some(target), cost, None, None, false)
-                    }
-                }
+                self.fwd
+                    .run_dijkstra(self.g, source, Some(target), cost, None, None, false);
                 self.fwd.extract_path(source, target)
             }
         };
@@ -1577,15 +1286,8 @@ impl<'g> QueryEngine<'g> {
                 d.is_finite().then_some(d)
             }
             SearchBackend::Plain => {
-                match self.usable_frozen() {
-                    Some(fz) => self
-                        .fwd
-                        .run_dijkstra_frozen(&fz, source, Some(target), cost),
-                    None => {
-                        self.fwd
-                            .run_dijkstra(self.g, source, Some(target), cost, None, None, false)
-                    }
-                }
+                self.fwd
+                    .run_dijkstra(self.g, source, Some(target), cost, None, None, false);
                 let d = self.fwd.dist(target);
                 d.is_finite().then_some(d)
             }
@@ -1603,7 +1305,6 @@ impl<'g> QueryEngine<'g> {
     fn run_alt_one_to_one(&mut self, source: VertexId, target: VertexId, cost: CostModel<'_>) {
         debug_assert!(self.uses_alt(cost));
         let per_meter = self.heuristic_bound(cost);
-        let fz = self.usable_frozen();
         let h = Self::forward_heuristic(
             self.g,
             &self.landmarks,
@@ -1613,12 +1314,7 @@ impl<'g> QueryEngine<'g> {
             cost,
             per_meter,
         );
-        match &fz {
-            Some(fz) => self
-                .fwd
-                .run_astar_frozen(self.g, fz, source, target, cost, &h),
-            None => self.fwd.run_astar(self.g, source, target, cost, &h, None),
-        }
+        self.fwd.run_astar(self.g, source, target, cost, &h, None);
     }
 
     /// One-to-all Dijkstra, returned as a borrowed [`TreeView`] (no
@@ -1627,10 +1323,7 @@ impl<'g> QueryEngine<'g> {
     /// target or ban checks in the hot loop). The view is valid until
     /// the next query on this engine.
     pub fn one_to_all(&mut self, source: VertexId, cost: CostModel<'_>) -> TreeView<'_> {
-        match self.usable_frozen() {
-            Some(fz) => self.fwd.run_dijkstra_all_frozen(&fz, source, cost, false),
-            None => self.fwd.run_dijkstra_all(self.g, source, cost, false),
-        }
+        self.fwd.run_dijkstra_all(self.g, source, cost, false);
         TreeView {
             space: &self.fwd,
             source,
@@ -1779,12 +1472,8 @@ impl<'g> QueryEngine<'g> {
     /// worker engines.
     pub fn one_to_all_rev(&mut self, target: VertexId, cost: CostModel<'_>) -> TreeView<'_> {
         let n = self.g.vertex_count();
-        let fz = self.usable_frozen();
         let bwd = self.bwd.get_or_insert_with(|| SearchSpace::new(n));
-        match &fz {
-            Some(fz) => bwd.run_dijkstra_all_frozen(fz, target, cost, true),
-            None => bwd.run_dijkstra_all(self.g, target, cost, true),
-        }
+        bwd.run_dijkstra_all(self.g, target, cost, true);
         TreeView {
             space: bwd,
             source: target,
@@ -1800,10 +1489,7 @@ impl<'g> QueryEngine<'g> {
         source: VertexId,
         cost: CostModel<'_>,
     ) -> ShortestPathTree {
-        match self.usable_frozen() {
-            Some(fz) => self.fwd.run_dijkstra_all_frozen(&fz, source, cost, false),
-            None => self.fwd.run_dijkstra_all(self.g, source, cost, false),
-        }
+        self.fwd.run_dijkstra_all(self.g, source, cost, false);
         let n = self.g.vertex_count();
         let mut dist = Vec::with_capacity(n);
         let mut parent = Vec::with_capacity(n);
@@ -1955,7 +1641,6 @@ impl<'g> QueryEngine<'g> {
             _ => {}
         }
         let per_meter = self.heuristic_bound(cost);
-        let fz = self.usable_frozen();
         let h = Self::forward_heuristic(
             self.g,
             &self.landmarks,
@@ -1965,16 +1650,11 @@ impl<'g> QueryEngine<'g> {
             cost,
             per_meter,
         );
-        match (&fz, h.is_active()) {
-            (Some(fz), true) => self
-                .fwd
-                .run_astar_frozen(self.g, fz, source, target, cost, &h),
-            (Some(fz), false) => self.fwd.run_dijkstra_frozen(fz, source, Some(target), cost),
-            (None, true) => self.fwd.run_astar(self.g, source, target, cost, &h, None),
-            (None, false) => {
-                self.fwd
-                    .run_dijkstra(self.g, source, Some(target), cost, None, None, false)
-            }
+        if h.is_active() {
+            self.fwd.run_astar(self.g, source, target, cost, &h, None);
+        } else {
+            self.fwd
+                .run_dijkstra(self.g, source, Some(target), cost, None, None, false);
         }
         self.fwd.extract_path(source, target)
     }
@@ -2591,70 +2271,5 @@ mod tests {
         assert!(engine
             .m2m_distances_from(sources[0], CostModel::Length)
             .is_none());
-    }
-
-    #[test]
-    fn frozen_searches_match_plain_bitwise() {
-        use crate::frozen::FrozenGraph;
-        use std::sync::Arc;
-
-        let g = grid_network(&GridConfig::small_test(), 9);
-        let n = g.vertex_count() as u32;
-        let fz = Arc::new(FrozenGraph::freeze(&g));
-        let mut plain = QueryEngine::new(&g);
-        let mut frozen = QueryEngine::new(&g).with_frozen(fz);
-        assert!(frozen.uses_frozen());
-
-        let custom: Vec<f64> = (0..g.edge_count())
-            .map(|i| 1.0 + (i % 17) as f64 * 0.31)
-            .collect();
-        let models = [
-            CostModel::Length,
-            CostModel::TravelTime,
-            CostModel::Custom(&custom),
-        ];
-        for cost in models {
-            for (s, t) in [(0, n - 1), (3, n / 2), (n / 3, 1)] {
-                let (s, t) = (VertexId(s), VertexId(t));
-                let a = plain.shortest_path(s, t, cost);
-                let b = frozen.shortest_path(s, t, cost);
-                assert_eq!(a, b, "paths must be identical, not just equal-cost");
-                let ca = plain.shortest_path_cost(s, t, cost);
-                let cb = frozen.shortest_path_cost(s, t, cost);
-                assert_eq!(ca.map(f64::to_bits), cb.map(f64::to_bits));
-            }
-            for v in [VertexId(0), VertexId(n / 2)] {
-                plain.one_to_all(v, cost);
-                frozen.one_to_all(v, cost);
-                for u in g.vertices() {
-                    assert_eq!(plain.fwd.dist(u).to_bits(), frozen.fwd.dist(u).to_bits());
-                    assert_eq!(plain.fwd.parent_of(u), frozen.fwd.parent_of(u));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn frozen_is_skipped_after_weight_mutation() {
-        use crate::frozen::FrozenGraph;
-        use std::sync::Arc;
-
-        let mut g = grid_network(&GridConfig::small_test(), 5);
-        let fz = Arc::new(FrozenGraph::freeze(&g));
-        {
-            let engine = QueryEngine::new(&g).with_frozen(fz.clone());
-            assert!(engine.uses_frozen());
-        }
-        g.set_edge_speed(EdgeId(0), 99.0);
-        let mut engine = QueryEngine::new(&g).with_frozen(fz);
-        assert!(!engine.uses_frozen(), "stale frozen form must be gated out");
-        // Queries still succeed — on the builder graph.
-        let t = VertexId(g.vertex_count() as u32 - 1);
-        assert!(engine
-            .shortest_path(VertexId(0), t, CostModel::TravelTime)
-            .is_some());
-        // Re-freezing at the new epoch re-enables the fast layout.
-        engine.set_frozen(Some(Arc::new(FrozenGraph::freeze(&g))));
-        assert!(engine.uses_frozen());
     }
 }

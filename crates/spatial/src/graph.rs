@@ -382,8 +382,7 @@ impl Graph {
     /// Returns whether the stored speed actually moved. A no-op update
     /// (the post-clamp speed is bitwise what the edge already carries)
     /// does **not** bump the weights epoch: a redundant telemetry echo
-    /// must not un-mount the frozen graph or mark ALT/CH/CCH stale for
-    /// nothing.
+    /// must not mark ALT/CH/CCH stale for nothing.
     pub fn set_edge_speed(&mut self, e: EdgeId, speed_kmh: f64) -> bool {
         let new = clamp_edge_speed(speed_kmh);
         let old = self.edge_records[e.index()].attrs.speed_kmh;
@@ -787,8 +786,7 @@ mod tests {
         let base = g.edge(e).attrs.speed_kmh;
         assert_eq!(g.weights_epoch(), 0);
         // Regression: a redundant telemetry echo used to bump the epoch,
-        // un-mounting the frozen graph and marking every ALT/CH/CCH
-        // index stale for nothing.
+        // marking every ALT/CH/CCH index stale for nothing.
         assert!(!g.set_edge_speed(e, base));
         assert_eq!(g.weights_epoch(), 0);
         assert!(g.set_edge_speeds(&[(e, base)]).is_empty());

@@ -20,11 +20,8 @@
 //!   generation-stamped query layer in [`algo::engine`];
 //! * path [`similarity`] measures, most importantly the weighted Jaccard
 //!   similarity that defines PathRank's ground-truth ranking scores;
-//! * a cache-compact serving form ([`frozen::FrozenGraph`]): one merged
-//!   forward/backward CSR with inlined per-metric weights, bit-identical
-//!   to builder-graph searches, persisted as a fixed-width binary
-//!   section by [`io`]; and a packed STR-bulk-loaded [`rtree::RTree`]
-//!   over edge polyline segments for GPS candidate snapping.
+//! * a packed STR-bulk-loaded [`rtree::RTree`] over edge polyline
+//!   segments, the one index GPS candidate snapping runs through.
 //!
 //! # Quick example
 //!
@@ -45,7 +42,6 @@
 pub mod algo;
 pub mod builder;
 pub mod error;
-pub mod frozen;
 pub mod generators;
 pub mod geo;
 pub mod geometry;
@@ -60,7 +56,6 @@ pub mod util;
 pub use algo::engine::QueryEngine;
 pub use builder::GraphBuilder;
 pub use error::SpatialError;
-pub use frozen::{FrozenArc, FrozenGraph};
 pub use graph::{CostModel, EdgeId, Graph, RoadCategory, VertexId};
 pub use path::Path;
 pub use rtree::RTree;

@@ -24,7 +24,7 @@
 //!    travel time preserved exactly, intermediate geometry retained for
 //!    map matching. The result is an [`ImportedGraph`] whose
 //!    [`Graph`] is ready for every existing index (ALT, CH,
-//!    many-to-many, `EdgeIndex`).
+//!    many-to-many, the snapping [`crate::rtree::RTree`]).
 //! 3. **Persist** — [`crate::io::write_imported_graph`] /
 //!    [`crate::io::read_imported_graph`] round-trip the imported network
 //!    (graph + projection origin + edge geometry) through a versioned

@@ -1,25 +1,22 @@
 //! Property-test harness pinning the R-tree's candidate sets to ground
 //! truth.
 //!
-//! Replacing the uniform-grid snapping index with the packed STR R-tree
-//! is only an optimisation if it can never change which edges a GPS fix
-//! snaps to. These properties drive [`RTree::edges_within`] against a
-//! brute-force scan over every edge on random generator graphs, and the
-//! R-tree-backed [`MapMatcher`] against the grid-backed one on
-//! simulated fleets, requiring **identical candidate sets and identical
-//! matched edge sequences** — not merely similar ones.
+//! The packed STR R-tree is the map matcher's only snapping index, so it
+//! must never change which edges a GPS fix snaps to. These properties
+//! drive [`RTree::edges_within`] against a brute-force scan over every
+//! edge segment, requiring **identical candidate sets** — not merely
+//! similar ones.
 //!
-//! Covered regimes, per the issue:
+//! Covered regimes:
 //! * `edges_within` equals the brute-force in-radius set (ascending
 //!   `EdgeId`, deduplicated) across random probe points and radii,
 //!   including radius 0 and probes far outside the network;
 //! * the `_into` variant reuses its output buffer without leaking stale
 //!   candidates between queries;
-//! * whole map-matched trips: grid-built and R-tree-built matchers
-//!   produce identical edge sequences on the same traces, across cell
-//!   sizes and candidate radii;
-//! * polyline geometry: both index builds see the true geometry (a
-//!   hairpin detour), not just the straight chord.
+//! * simulated fleets: at every GPS fix of every trace, the matcher's
+//!   R-tree returns the brute-force set, across candidate radii;
+//! * polyline geometry: the geometry build sees the true road (a hairpin
+//!   detour), not just the straight chord.
 
 use pathrank::spatial::builder::GraphBuilder;
 use pathrank::spatial::generators::{region_network, RegionConfig};
@@ -106,12 +103,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Whole map-matched trips: the grid-built and R-tree-built matchers
-    /// must produce identical edge sequences for every simulated trace,
-    /// across candidate radii (and thereby grid cell sizes, which follow
-    /// the radius).
+    /// Simulated fleets: at every GPS fix of every trace, the matcher's
+    /// R-tree must return exactly the brute-force in-radius edge set,
+    /// across candidate radii.
     #[test]
-    fn rtree_mapmatch_sequences_identical_to_grid(
+    fn rtree_fleet_fix_candidates_equal_brute_force(
         region_seed in 0u64..500,
         fleet_seed in 0u64..500,
         radius in 40.0f64..120.0,
@@ -123,26 +119,50 @@ proptest! {
             ..SimulationConfig::small_test()
         };
         let trips = simulate_fleet(&g, &sim, fleet_seed);
-        let cfg = MapMatchConfig {
-            candidate_radius_m: radius,
-            ..MapMatchConfig::default()
-        };
-        let mut rt = MapMatcher::new(&g, cfg.clone());
-        let mut grid = MapMatcher::new_with_grid(&g, cfg);
+        let matcher = MapMatcher::new(&g, MapMatchConfig::default());
+        let mut got = Vec::new();
         for trip in &trips {
-            let a = rt.match_trace(&trip.trace).map(|p| p.edges().to_vec());
-            let b = grid.match_trace(&trip.trace).map(|p| p.edges().to_vec());
-            prop_assert_eq!(a, b, "matched sequence diverged (region {}, fleet {})",
-                region_seed, fleet_seed);
+            for fix in &trip.trace.points {
+                matcher.index().edges_within_into(&fix.pos, radius, &mut got);
+                let want = brute_force_within(&g, &fix.pos, radius);
+                prop_assert_eq!(
+                    got.as_slice(),
+                    want.as_slice(),
+                    "candidates diverged at {:?} r={} (region {}, fleet {})",
+                    fix.pos, radius, region_seed, fleet_seed
+                );
+            }
         }
     }
 }
 
-/// Deterministic companion: with polyline geometry attached, both index
-/// builds must expand edge bounding volumes over the true geometry — a
-/// hairpin detour far off the chord snaps identically through either.
+/// Ground truth for polyline geometry: every edge whose
+/// `from -> interior -> to` polyline passes within `radius_m` of `p`,
+/// ascending by id.
+fn brute_force_within_polylines(
+    g: &Graph,
+    geometry: &[Vec<Point>],
+    p: &Point,
+    radius_m: f64,
+) -> Vec<EdgeId> {
+    (0..g.edge_count() as u32)
+        .map(EdgeId)
+        .filter(|&e| {
+            let rec = g.edge(e);
+            let mut poly = vec![g.coord(rec.from)];
+            poly.extend_from_slice(&geometry[e.index()]);
+            poly.push(g.coord(rec.to));
+            poly.windows(2)
+                .any(|s| point_segment_distance(p, &s[0], &s[1]) <= radius_m)
+        })
+        .collect()
+}
+
+/// Deterministic companion: with polyline geometry attached, the R-tree
+/// must index the true geometry — a hairpin detour far off the chord
+/// snaps exactly as a brute-force scan over the polyline segments does.
 #[test]
-fn rtree_geometry_hairpin_candidates_match_grid() {
+fn rtree_geometry_hairpin_candidates_match_brute_force() {
     // One straight corridor a->b->c plus a parallel edge a->c whose true
     // geometry detours 400 m north of the chord midway.
     let mut b = GraphBuilder::new();
@@ -165,11 +185,10 @@ fn rtree_geometry_hairpin_candidates_match_grid() {
 
     let cfg = MapMatchConfig::default();
     let rt = MapMatcher::new_with_geometry(&g, &geometry, cfg.clone());
-    let grid = MapMatcher::new_with_grid_geometry(&g, &geometry, cfg.clone());
     // Probe next to the hairpin apex (far from every chord) and along
-    // the corridor: both indexes must agree candidate-for-candidate.
+    // the corridor: the R-tree must agree with the brute-force scan
+    // candidate-for-candidate.
     let mut a: Vec<EdgeId> = Vec::new();
-    let mut b: Vec<EdgeId> = Vec::new();
     for p in [
         Point::new(500.0, 390.0),
         Point::new(300.0, 190.0),
@@ -177,22 +196,17 @@ fn rtree_geometry_hairpin_candidates_match_grid() {
         Point::new(990.0, -5.0),
     ] {
         rt.index()
-            .edges_near_into(&p, cfg.candidate_radius_m, &mut a);
-        grid.index()
-            .edges_near_into(&p, cfg.candidate_radius_m, &mut b);
-        // The grid returns a cell superset; the R-tree set (already
-        // exact w.r.t. true geometry) must be contained in it.
-        for e in &a {
-            assert!(
-                b.contains(e),
-                "grid superset missing R-tree candidate {e:?} at {p:?}"
-            );
-        }
+            .edges_within_into(&p, cfg.candidate_radius_m, &mut a);
+        assert_eq!(
+            a,
+            brute_force_within_polylines(&g, &geometry, &p, cfg.candidate_radius_m),
+            "R-tree candidates diverged from the polyline scan at {p:?}"
+        );
         assert!(!a.is_empty(), "probe at {p:?} found no candidates");
     }
     // Near the apex the detour edge itself must be a candidate.
     rt.index()
-        .edges_near_into(&Point::new(500.0, 390.0), cfg.candidate_radius_m, &mut a);
+        .edges_within_into(&Point::new(500.0, 390.0), cfg.candidate_radius_m, &mut a);
     assert!(
         a.contains(&detour),
         "hairpin apex must snap to the detour edge through the R-tree"
